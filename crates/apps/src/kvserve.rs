@@ -32,7 +32,7 @@
 //!
 //! A COPY that sources a migrated shard reads that shard's
 //! pre-migration home — the synthetic workload tolerates the stale
-//! read; what matters here is that every back-end and engine computes
+//! read; what matters here is that every back-end computes
 //! the *same* deterministic outcome.
 
 use pmc_runtime::{MFifo, Obj, ObjVec, PmcCtx, Pod, Program, RunConfig, Session, Slab, System};
@@ -393,7 +393,7 @@ pub struct ServeReport {
     pub telemetry: TelemetryReport,
     pub links: Vec<LinkReport>,
     pub cfg: SocConfig,
-    pub engine_stats: Option<EngineStats>,
+    pub engine_stats: EngineStats,
     pub checksum: u64,
 }
 
@@ -411,7 +411,7 @@ impl ServeReport {
 }
 
 /// Run the serving workload on a [`Session`]'s axes (backend, lock,
-/// topology, engine, telemetry, controllers). Deterministic: the same
+/// topology, telemetry, controllers). Deterministic: the same
 /// session axes and parameters give a bit-identical [`ServeReport`].
 pub fn run_serve_session(session: &Session, params: &KvServeParams) -> ServeReport {
     let need = KvServe::tiles_needed(params);
@@ -433,7 +433,7 @@ pub fn run_serve_session(session: &Session, params: &KvServeParams) -> ServeRepo
     let trace =
         if cfg.trace || cfg.telemetry.enabled { sys.soc().take_trace() } else { Vec::new() };
     let telemetry = sys.soc().take_telemetry();
-    let engine_stats = sys.soc().engine_stats();
+    let engine_stats = sys.soc().engine_stats().unwrap_or_default();
     let metrics = MetricsRegistry::from_trace(&trace);
     ServeReport {
         report,

@@ -12,7 +12,7 @@
 //! Everything is derived from [`rand::rngs::StdRng`] seeded with
 //! [`LoadGenParams::seed`]; the same parameters always produce the same
 //! schedule, byte for byte, which is what lets `fig_serve --json` be
-//! compared across runs and across execution engines.
+//! compared across runs.
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};

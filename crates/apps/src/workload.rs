@@ -1,6 +1,6 @@
 //! Common workload driver: build → run → checksum → report, for any
-//! (workload, back-end) pair. This is the engine behind the Fig. 8
-//! harness, the portability tests and the Criterion benches.
+//! (workload, back-end) pair. This is the driver behind the Fig. 8
+//! harness, the portability tests and the golden digests.
 
 use pmc_runtime::{BackendKind, Program, RunConfig, Session, System};
 use pmc_soc_sim::{EngineStats, LinkReport, RunReport, SocConfig, TelemetryReport, TraceRecord};
@@ -48,7 +48,7 @@ impl Workload {
 /// Size scaling for the workloads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WorkloadParams {
-    /// Tiny inputs for unit tests and Criterion.
+    /// Tiny inputs for unit tests and the golden digests.
     Tiny,
     /// Default inputs for the figure harnesses.
     Full,
@@ -77,10 +77,9 @@ pub struct AppReport {
     /// [`pmc_soc_sim::telemetry::perfetto_json`] needs to lay out the
     /// exported timeline.
     pub cfg: SocConfig,
-    /// Discrete-event scheduler counters (`None` under the threaded
-    /// engine): heap events, task handoffs, peak queue depth — the state
-    /// counts the scale benchmark pins.
-    pub engine_stats: Option<EngineStats>,
+    /// Discrete-event scheduler counters: heap events, task handoffs,
+    /// peak queue depth — the state counts the scale benchmark pins.
+    pub engine_stats: EngineStats,
 }
 
 /// The workload half of the unified [`RunConfig`]/[`Session`] surface.
@@ -88,7 +87,7 @@ pub struct AppReport {
 /// cannot know about the applications built on top of it.
 pub trait SessionWorkload {
     /// Run `workload` on this session's axes — back-end, lock, topology,
-    /// telemetry, engine — and return the checksummed [`AppReport`].
+    /// telemetry — and return the checksummed [`AppReport`].
     /// Workload runs need a tile count: either `RunConfig::n_tiles(..)`
     /// or a mesh topology (whose area is the count). Deterministic: the
     /// same session axes and arguments ⇒ a bit-identical report.
@@ -103,7 +102,7 @@ impl SessionWorkload for Session {
 
 /// Run `workload` on `backend` with `n_tiles` cores over the ring — the
 /// common case of the unified surface, kept as a convenience wrapper.
-/// For the other axes (topology, telemetry, engine) build the
+/// For the other axes (topology, telemetry) build the
 /// [`RunConfig`] yourself and use [`SessionWorkload::workload`].
 ///
 /// ```
@@ -207,7 +206,7 @@ fn run_workload_session(
     let links = sys.soc().link_report();
     let trace = if cfg.trace { sys.soc().take_trace() } else { Vec::new() };
     let telemetry = sys.soc().take_telemetry();
-    let engine_stats = sys.soc().engine_stats();
+    let engine_stats = sys.soc().engine_stats().unwrap_or_default();
     AppReport { workload, backend, report, checksum, links, telemetry, trace, cfg, engine_stats }
 }
 

@@ -18,9 +18,8 @@
 //! The report also carries a `scale` section: one 16×16-mesh (256-tile)
 //! workload run on the discrete-event engine, pinning its wall time and
 //! scheduler state counts (heap events, task handoffs, peak queue
-//! depth). The thread-per-tile turnstile cannot reach this design point
-//! — 256 OS threads contending on one mutex — so this entry starts the
-//! perf trajectory for the event-driven core at MemPool-class scale.
+//! depth) — the perf trajectory of the event-driven core at
+//! MemPool-class scale.
 //!
 //! A `controller_scaling` section sweeps the scale-out memory system:
 //! a transfer-bound DMA stream with 1/2/4 interleaved SDRAM controllers
@@ -49,24 +48,23 @@ use pmc_bench::spread_controllers;
 use pmc_core::conformance;
 use pmc_core::interleave::{outcomes_counted, Limits};
 use pmc_runtime::{BackendKind, LockKind, RunConfig, System};
-use pmc_soc_sim::{EngineKind, SocConfig, Topology};
+use pmc_soc_sim::{SocConfig, Topology};
 
-/// The 256-tile scale smoke: MOTION-EST (tiny inputs) on a 16×16 mesh
-/// under the discrete-event engine. Returns the rendered JSON object.
+/// The 256-tile scale smoke: MOTION-EST (tiny inputs) on a 16×16 mesh.
+/// Returns the rendered JSON object.
 fn scale_entry() -> String {
     let (cols, rows) = (16usize, 16usize);
     let t0 = Instant::now();
     let r = RunConfig::new(BackendKind::Swcc)
         .topology(Topology::Mesh { cols, rows })
-        .engine(EngineKind::DiscreteEvent)
         .session()
         .workload(Workload::MotionEst, WorkloadParams::Tiny);
     let ms = t0.elapsed().as_secs_f64() * 1e3;
-    let stats = r.engine_stats.expect("discrete-event runs report scheduler stats");
+    let stats = r.engine_stats;
     assert!(r.report.makespan > 0 && stats.events > 0);
     format!(
-        "{{\"workload\": \"{}\", \"backend\": \"swcc\", \"engine\": \"des\", \
-         \"tiles\": {}, \"topology\": \"mesh{cols}x{rows}\", \"makespan\": {}, \
+        "{{\"workload\": \"{}\", \"backend\": \"swcc\", \"tiles\": {}, \
+         \"topology\": \"mesh{cols}x{rows}\", \"makespan\": {}, \
          \"events\": {}, \"handoffs\": {}, \"peak_queue\": {}, \"ms\": {ms:.2}}}",
         r.workload.name(),
         cols * rows,

@@ -8,8 +8,8 @@
 //! ~70 %); RAYTRACE and VOLREND lose almost all shared-read stalls; time
 //! spent in flush instructions is 0.66 % / 0.00 % / 0.01 %.
 //!
-//! Usage: `fig8 [--tiles N] [--topology ring|mesh|torus]
-//! [--engine threaded|des] [--tiny] [--smoke] [--json]`
+//! Usage: `fig8 [--tiles N] [--topology ring|mesh|torus] [--tiny]
+//! [--smoke] [--json]`
 //! (`--smoke` = tiny workloads on 8 tiles: the CI figure-pipeline check;
 //! `--json` = machine-readable output on stdout instead of the tables —
 //! the source of the committed `BENCH_figs.json` snapshot.)
@@ -22,8 +22,8 @@
 
 use pmc_apps::workload::{SessionWorkload, Workload, WorkloadParams};
 use pmc_bench::{
-    arg_engine, arg_flag, arg_topology, arg_u32, breakdown_header, breakdown_json, breakdown_row,
-    json, mesh_dims, top_links, top_links_json,
+    arg_flag, arg_topology, arg_u32, breakdown_header, breakdown_json, breakdown_row, json,
+    mesh_dims, top_links, top_links_json,
 };
 use pmc_runtime::{BackendKind, RunConfig};
 use pmc_soc_sim::Topology;
@@ -33,25 +33,15 @@ fn main() {
     let emit_json = arg_flag("--json");
     let tiles = arg_u32("--tiles", if smoke { 8 } else { 32 }) as usize;
     let topology = arg_topology(tiles);
-    let engine = arg_engine();
     let run = |w: Workload, backend: BackendKind, topo: Topology, params: WorkloadParams| {
-        RunConfig::new(backend)
-            .n_tiles(tiles)
-            .topology(topo)
-            .engine(engine)
-            .session()
-            .workload(w, params)
+        RunConfig::new(backend).n_tiles(tiles).topology(topo).session().workload(w, params)
     };
     let params =
         if arg_flag("--tiny") || smoke { WorkloadParams::Tiny } else { WorkloadParams::Full };
     // All assertions run in both modes; `--json` only swaps the tables
     // on stdout for one JSON document.
     macro_rules! say { ($($t:tt)*) => { if !emit_json { println!($($t)*); } } }
-    say!(
-        "Fig. 8 — noCC vs SWCC, {tiles} cores ({params:?}, {} NoC, {} engine)\n",
-        topology.name(),
-        engine.name()
-    );
+    say!("Fig. 8 — noCC vs SWCC, {tiles} cores ({params:?}, {} NoC)\n", topology.name());
     say!("{}", breakdown_header());
     let mut improvements = Vec::new();
     let mut workload_rows = Vec::new();
@@ -135,7 +125,6 @@ fn main() {
                 ("figure", json::str("fig8")),
                 ("tiles", tiles.to_string()),
                 ("topology", json::str(topology.name())),
-                ("engine", json::str(engine.name())),
                 ("params", json::str(&format!("{params:?}"))),
                 ("workloads", json::arr(&workload_rows)),
                 ("mean_improvement_pct", json::num(mean)),

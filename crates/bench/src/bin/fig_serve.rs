@@ -9,29 +9,25 @@
 //!    {1, 2} interleaved SDRAM controllers;
 //! 2. a **rebalancing row** — under heavy Zipf skew, p99 with and
 //!    without the mid-run hot-shard migration (tile-to-tile DMA copy to
-//!    a spare tile);
-//! 3. an **engine-equality gate** — one pinned cell run on both the
-//!    threaded and the discrete-event engine must produce identical
-//!    per-request latencies and checksums.
+//!    a spare tile).
 //!
 //! Every run records the annotation trace and must pass
 //! [`pmc_runtime::monitor::validate`]; the report is deterministic at a
 //! pinned seed, so `--json` output is byte-identical across repeated
-//! runs and across `--engine threaded` / `--engine des` (wall-clock
-//! times are deliberately kept out of the JSON).
+//! runs (wall-clock times are deliberately kept out of the JSON).
 //!
-//! Usage: `fig_serve [--requests N] [--shards S] [--seed X]
-//! [--engine threaded|des] [--smoke] [--json] [--trace FILE]`
+//! Usage: `fig_serve [--requests N] [--shards S] [--seed X] [--smoke]
+//! [--json] [--trace FILE]`
 //!
 //! `--trace FILE` additionally exports one representative run (SWCC,
 //! mesh, 2 controllers) as Perfetto JSON.
 
 use pmc_apps::kvserve::{run_serve_session, KvServe, KvServeParams, ServeReport};
 use pmc_apps::loadgen::LoadGenParams;
-use pmc_bench::{arg_engine, arg_flag, arg_str, arg_u32, json, mesh_dims, spread_controllers};
+use pmc_bench::{arg_flag, arg_str, arg_u32, json, mesh_dims, spread_controllers};
 use pmc_runtime::{monitor, BackendKind, RunConfig};
 use pmc_soc_sim::telemetry::perfetto_json;
-use pmc_soc_sim::{EngineKind, Topology};
+use pmc_soc_sim::Topology;
 
 fn topo(name: &str, n_tiles: usize) -> Topology {
     let (cols, rows) = mesh_dims(n_tiles);
@@ -55,7 +51,6 @@ fn run_cell(
     backend: BackendKind,
     topology: &'static str,
     controllers: usize,
-    engine: EngineKind,
     load: LoadGenParams,
     migrate_at: Option<u32>,
 ) -> Cell {
@@ -68,7 +63,6 @@ fn run_cell(
         .n_tiles(n_tiles)
         .telemetry(true)
         .trace(true)
-        .engine(engine)
         .mem_controllers(spread_controllers(n_tiles, controllers))
         .session();
     let report = run_serve_session(&session, &params);
@@ -107,7 +101,6 @@ fn cell_json(c: &Cell) -> String {
 fn main() {
     let smoke = arg_flag("--smoke");
     let as_json = arg_flag("--json");
-    let engine = arg_engine();
     let seed = arg_u32("--seed", 0xC0FFEE) as u64;
     let n_requests = arg_u32("--requests", if smoke { 32 } else { 96 });
     let n_shards = arg_u32("--shards", 4);
@@ -138,7 +131,7 @@ fn main() {
             for controllers in controller_counts {
                 for &ia in loads {
                     let load = LoadGenParams { mean_interarrival: ia, ..base };
-                    cells.push(run_cell(backend, topology, controllers, engine, load, None));
+                    cells.push(run_cell(backend, topology, controllers, load, None));
                 }
             }
         }
@@ -146,18 +139,10 @@ fn main() {
 
     // 2. Rebalancing under heavy skew: migrate the hot shard halfway.
     let skewed = LoadGenParams { zipf_s: 2.0, mean_interarrival: 400, ..base };
-    let baseline = run_cell(BackendKind::Swcc, "mesh", 2, engine, skewed, None);
-    let migrated = run_cell(BackendKind::Swcc, "mesh", 2, engine, skewed, Some(n_requests / 2));
+    let baseline = run_cell(BackendKind::Swcc, "mesh", 2, skewed, None);
+    let migrated = run_cell(BackendKind::Swcc, "mesh", 2, skewed, Some(n_requests / 2));
     let spare_served = *migrated.report.served.last().unwrap();
     assert!(spare_served > 0, "rebalance must reroute traffic to the spare");
-
-    // 3. Engine equality on a pinned cell: identical latencies, trace
-    // spans and checksum on both engines.
-    let eq_load = LoadGenParams { mean_interarrival: 600, ..base };
-    let on = |e| run_cell(BackendKind::Spm, "torus", 2, e, eq_load, None);
-    let (t, d) = (on(EngineKind::Threaded), on(EngineKind::DiscreteEvent));
-    assert_eq!(t.report.latencies, d.report.latencies, "engines disagree on latencies");
-    assert_eq!(t.report.checksum, d.report.checksum, "engines disagree on checksum");
 
     // Optional Perfetto export of a representative run.
     if !trace_out.is_empty() {
@@ -184,14 +169,6 @@ fn main() {
                     ("baseline_p99", baseline.report.latency_percentile(99.0).to_string()),
                     ("migrated_p99", migrated.report.latency_percentile(99.0).to_string()),
                     ("spare_served", spare_served.to_string()),
-                ]),
-            ),
-            (
-                "engine_equality",
-                json::obj(&[
-                    ("threaded_checksum", json::str(&format!("{:#018x}", t.report.checksum))),
-                    ("des_checksum", json::str(&format!("{:#018x}", d.report.checksum))),
-                    ("equal", "true".into()),
                 ]),
             ),
         ]);
@@ -225,9 +202,5 @@ fn main() {
         baseline.report.latency_percentile(99.0),
         migrated.report.latency_percentile(99.0),
         spare_served
-    );
-    println!(
-        "engine equality (spm/torus/2ctrl): threaded == des, checksum {:#018x}",
-        t.report.checksum
     );
 }

@@ -7,11 +7,10 @@
 //!
 //! ```text
 //! pmc-trace --litmus NAME [--backend uncached|swcc|dsm|spm]
-//!           [--lock sdram|dist] [--topology ring|mesh]
-//!           [--engine threaded|des] [--out PATH]
+//!           [--lock sdram|dist] [--topology ring|mesh] [--out PATH]
 //! pmc-trace --app radiosity|raytrace|volrend|motion-est
 //!           [--backend ...] [--tiles N] [--full] [--topology ring|mesh]
-//!           [--engine threaded|des] [--out PATH]
+//!           [--out PATH]
 //! pmc-trace --list    # print the litmus catalogue names
 //! pmc-trace --smoke   # CI check: export two fixed traces, validate them
 //! ```
@@ -23,7 +22,7 @@
 //! artifact Perfetto rejects.
 
 use pmc_apps::workload::{SessionWorkload, Workload, WorkloadParams};
-use pmc_bench::{arg_engine, arg_flag, arg_str, arg_topology, arg_u32};
+use pmc_bench::{arg_flag, arg_str, arg_topology, arg_u32};
 use pmc_core::conformance;
 use pmc_runtime::{BackendKind, LockKind, RunConfig};
 use pmc_soc_sim::telemetry::{pair_spans, perfetto_json, validate_json, MetricsRegistry};
@@ -93,7 +92,6 @@ fn run_litmus_export(name: &str, backend: BackendKind, lock: LockKind, out: &str
     let run = RunConfig::new(backend)
         .lock(lock)
         .topology(topo)
-        .engine(arg_engine())
         .telemetry(true)
         .session()
         .litmus(&case.program);
@@ -119,7 +117,6 @@ fn run_app_export(name: &str, backend: BackendKind, out: &str) {
     let r = RunConfig::new(backend)
         .n_tiles(tiles)
         .topology(arg_topology(tiles))
-        .engine(arg_engine())
         .telemetry(true)
         .session()
         .workload(workload, params);

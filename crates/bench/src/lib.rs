@@ -102,16 +102,6 @@ pub fn spread_controllers(n_tiles: usize, k: usize) -> Vec<usize> {
     (0..k.max(1)).map(|i| i * n_tiles / k.max(1)).collect()
 }
 
-/// Parse an `--engine` argument (`threaded` | `des`) into an
-/// [`pmc_soc_sim::EngineKind`]. Defaults to the simulator default
-/// engine, so the harness binaries follow the library unless told
-/// otherwise.
-pub fn arg_engine() -> pmc_soc_sim::EngineKind {
-    let name = arg_str("--engine", pmc_soc_sim::EngineKind::default().name());
-    pmc_soc_sim::EngineKind::parse(&name)
-        .unwrap_or_else(|| panic!("--engine must be `threaded` or `des`, got `{name}`"))
-}
-
 /// The most nearly square `cols × rows` factorisation of `n`.
 pub fn mesh_dims(n: usize) -> (usize, usize) {
     let mut cols = (n as f64).sqrt() as usize;

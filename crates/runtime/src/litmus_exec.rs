@@ -58,7 +58,7 @@ pub struct LitmusRun {
 /// Run `program` on `backend`/`lock_kind` over the ring, sized to the
 /// program's thread count — the common case of the unified
 /// [`RunConfig`]/[`Session`] surface, kept as a convenience wrapper.
-/// For the other axes (topology, telemetry, engine) build the session
+/// For the other axes (topology, telemetry, controllers) build the session
 /// yourself.
 ///
 /// Panics if the program deadlocks on the simulator (the SoC watchdog

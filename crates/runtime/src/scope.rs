@@ -321,7 +321,7 @@ macro_rules! scope_common {
                 }
                 // During a panic unwind the simulator is already
                 // aborting; performing the exit (which may block on the
-                // turnstile or outstanding transfers) could double-panic.
+                // engine handoff or outstanding transfers) could double-panic.
                 // The abort protocol tears the run down regardless.
                 if std::thread::panicking() {
                     return;

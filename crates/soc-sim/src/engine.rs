@@ -1,4 +1,4 @@
-//! The discrete-event execution engine (`EngineKind::DiscreteEvent`).
+//! The discrete-event execution engine that drives every [`crate::Soc`] run.
 //!
 //! ## Architecture
 //!
@@ -43,11 +43,10 @@
 //! preserved exactly. Consecutive actions by the same tile — the common
 //! case — cost zero handoffs.
 //!
-//! Both engines commit globally visible actions in identical
-//! `(virtual_time, tile)` order and drain NoC packets at the same
-//! commit points, so counters, traces, telemetry streams and memory
-//! contents are **bit-identical** to the threaded turnstile
-//! (`tests/engine.rs` pins this differentially).
+//! Same configuration and programs ⇒ the same `(virtual_time, tile)`
+//! commit order and the same NoC drain points, so counters, traces,
+//! telemetry streams and memory contents are bit-identical from run to
+//! run; `tests/engine.rs` pins them against committed golden digests.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -101,7 +100,7 @@ impl TaskPort {
     /// strictly below its horizon (no other component acts earlier).
     ///
     /// Panics with the abort message when the engine resumes the task
-    /// only to unwind it (mirroring the threaded engine's abort path).
+    /// only to unwind it (another tile panicked).
     pub(crate) fn ensure_turn(&mut self, clock: u64, tile: usize) {
         if (clock, tile) < self.horizon {
             return;
@@ -170,8 +169,7 @@ impl EngineCtx {
 ///
 /// Component ids are assigned densely in [`Engine::add`] order; ties at
 /// equal times resolve to the lowest id, so registering core tasks in
-/// tile order reproduces the threaded turnstile's `(clock, tile)`
-/// tie-break exactly.
+/// tile order yields the `(clock, tile)` commit order.
 pub struct Engine<'c> {
     ctx: EngineCtx,
     components: Vec<Box<dyn Component + 'c>>,
@@ -195,8 +193,7 @@ impl<'c> Engine<'c> {
     ///
     /// In-flight packets (posted writes racing a finished program) may
     /// still be queued when the loop ends; `Soc::run` drains them after
-    /// either engine returns, so both engines expose the same post-run
-    /// memory image to host-side readback.
+    /// the loop returns, so host-side readback sees the completed run.
     pub fn run(mut self) -> EngineStats {
         for (i, c) in self.components.iter().enumerate() {
             if let Some(t) = c.next_tick() {
@@ -276,8 +273,8 @@ impl Component for CoreTask<'_> {
 
     fn tick(&mut self, ctx: &mut EngineCtx) {
         if self.aborted.load(Ordering::SeqCst) {
-            // Unwind the parked task (it panics out of its yield point,
-            // mirroring the threaded abort) and drain its final report.
+            // Unwind the parked task (it panics out of its yield point)
+            // and drain its final report.
             let _ = self.go_tx.send(Go::Abort);
             let _ = self.yield_rx.recv();
             self.state = TaskState::Done;

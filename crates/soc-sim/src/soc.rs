@@ -8,21 +8,16 @@
 //! time, in strict `(virtual_time, tile_id)` order. Core-private actions
 //! (data-cache hits, compute, clean invalidations) run on a lock-free
 //! fast path and only defer the publication of the core's clock; they
-//! are invisible to other tiles, so commit order is unaffected. Two
-//! engines realise that order ([`crate::config::EngineKind`]):
-//!
-//! * **DiscreteEvent** (default): a single-threaded min-heap event loop
-//!   ([`crate::engine`]) resumes suspended core tasks one at a time at
-//!   exactly their next action times — O(log n) scheduling, parked
-//!   tasks cost nothing, hundreds of tiles are practical.
-//! * **Threaded**: one OS thread per simulated core serialised by a
-//!   scheduler lock and per-tile condvars — the original PDES
-//!   "turnstile", kept as a differential cross-check.
+//! are invisible to other tiles, so commit order is unaffected. The
+//! discrete-event engine ([`crate::engine`]) realises that order: a
+//! single-threaded min-heap event loop resumes suspended core tasks one
+//! at a time at exactly their next action times — O(log n) scheduling,
+//! parked tasks cost nothing, hundreds of tiles are practical.
 //!
 //! A forced synchronisation every `max_local_run` cycles bounds how
 //! stale a core's published clock can get. Same configuration + same
-//! programs ⇒ bit-identical runs, counters included — on either engine,
-//! and identically *between* the engines.
+//! programs ⇒ bit-identical runs, counters included; `tests/engine.rs`
+//! pins every modeled output against committed golden digests.
 //!
 //! ## Memory system semantics
 //!
@@ -37,8 +32,8 @@
 //!   `issue + route_latency`; in-order per (src, dst) pair, unordered
 //!   across destinations (the paper's Fig. 1 failure mode).
 
-use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AtomicOrdering};
+use std::sync::{Mutex, MutexGuard};
 
 /// Lock ignoring poisoning: a panicking tile is already handled by the
 /// abort protocol, and the scheduler state stays consistent (every mutation
@@ -50,7 +45,7 @@ fn lock_ignore_poison<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 
 use crate::addr::{self, Addr, Region};
 use crate::cache::Cache;
-use crate::config::{EngineKind, SocConfig};
+use crate::config::SocConfig;
 use crate::counters::{Counters, LinkReport, MemTag, PortReport, RunReport};
 use crate::dma::{DmaDescriptor, DmaDir, DmaEngine, DmaKind, DmaStats};
 use crate::engine::{CoreTask, Engine, EngineStats, TaskPort, TaskYield};
@@ -60,17 +55,14 @@ use crate::noc::{LinkStat, Noc, Packet, PacketKind};
 use crate::telemetry::{EventKind, Recorder, StallClass, TelemetryEvent, TelemetryReport};
 use crate::trace::{self, TraceRecord};
 
-/// State shared by all tiles, guarded by the scheduler lock.
+/// State shared by all tiles, guarded by the commit lock (uncontended:
+/// at most one task runs at a time).
 struct Global {
     sdram: ByteMem,
     locals: Vec<ByteMem>,
     noc: Noc,
     /// One DMA engine per tile.
     dma: Vec<DmaEngine>,
-    /// Published clock per tile (`u64::MAX` once done).
-    clocks: Vec<u64>,
-    /// Whether the tile is parked waiting for its turn.
-    waiting: Vec<bool>,
     /// Per-controller SDRAM ports (queueing model), with the physical
     /// offset space striped across them.
     ports: SdramPorts,
@@ -177,20 +169,6 @@ impl Global {
             }
         }
     }
-
-    /// The live tile with the smallest `(clock, id)`.
-    fn min_tile(&self) -> Option<usize> {
-        self.clocks
-            .iter()
-            .enumerate()
-            .filter(|&(_, &c)| c != u64::MAX)
-            .min_by_key(|&(i, &c)| (c, i))
-            .map(|(i, _)| i)
-    }
-
-    fn is_turn(&self, tile: usize) -> bool {
-        self.min_tile() == Some(tile)
-    }
 }
 
 /// The simulated system-on-chip. Construct, optionally initialise
@@ -198,16 +176,16 @@ impl Global {
 pub struct Soc {
     cfg: SocConfig,
     global: Mutex<Global>,
-    cvs: Vec<Condvar>,
     /// Running counter for makespan and post-run queries.
     makespan: AtomicU64,
-    /// Set when a tile panicked: every parked tile wakes and aborts.
-    aborted: std::sync::atomic::AtomicBool,
+    /// Set when a tile panicked: the engine unwinds every parked task at
+    /// its next scheduled event.
+    aborted: AtomicBool,
     /// The first panic payload (re-raised after all tiles unwound, so the
     /// caller sees the original message rather than a secondary abort).
     panic_payload: Mutex<Option<Box<dyn std::any::Any + Send + 'static>>>,
-    /// Scheduler statistics of the last run (`None` until a
-    /// discrete-event run completes; the threaded engine has no heap).
+    /// Scheduler statistics of the last run (`None` until a run
+    /// completes).
     engine_stats: Mutex<Option<EngineStats>>,
 }
 
@@ -223,21 +201,17 @@ impl Soc {
             locals: (0..cfg.n_tiles).map(|_| ByteMem::new(cfg.local_mem_size)).collect(),
             noc,
             dma: vec![DmaEngine::new(cfg.dma_channels); cfg.n_tiles],
-            clocks: vec![0; cfg.n_tiles],
-            waiting: vec![false; cfg.n_tiles],
             ports: SdramPorts::new(cfg.controllers()),
             tags: Vec::new(),
             trace: Vec::new(),
             finished: vec![None; cfg.n_tiles],
             telem_tiles: vec![(Vec::new(), 0); cfg.n_tiles],
         };
-        let cvs = (0..cfg.n_tiles).map(|_| Condvar::new()).collect();
         Soc {
             cfg,
             global: Mutex::new(global),
-            cvs,
             makespan: AtomicU64::new(0),
-            aborted: std::sync::atomic::AtomicBool::new(false),
+            aborted: AtomicBool::new(false),
             panic_payload: Mutex::new(None),
             engine_stats: Mutex::new(None),
         }
@@ -256,18 +230,6 @@ impl Soc {
         for e in g.dma.iter_mut() {
             *e = DmaEngine::new(n);
         }
-    }
-
-    /// Mark the run aborted (a tile panicked): retire the tile's clock
-    /// and wake every parked tile so the panic can propagate.
-    fn abort(&self, tile: usize) {
-        self.aborted.store(true, AtomicOrdering::SeqCst);
-        let mut g = lock_ignore_poison(&self.global);
-        g.clocks[tile] = u64::MAX;
-        for cv in &self.cvs {
-            cv.notify_one();
-        }
-        drop(g);
     }
 
     /// Tag an SDRAM offset range for stall attribution (shared vs.
@@ -365,98 +327,23 @@ impl Soc {
     /// tiles without a program idle at `done`). Returns per-core counters
     /// and the makespan. Panics propagate from core closures.
     ///
-    /// The execution engine is selected by `cfg.engine`
-    /// ([`EngineKind`]); both engines produce bit-identical reports.
+    /// Programs run as suspended coroutine tasks on small parked threads;
+    /// the single-threaded min-heap loop of [`crate::engine`] resumes
+    /// exactly one at a time in `(virtual_time, tile)` order.
     pub fn run<'env>(&'env self, programs: Vec<CoreProgram<'env>>) -> RunReport {
-        assert!(programs.len() <= self.cfg.n_tiles, "more programs than tiles");
-        {
-            // Reset scheduling state (memories persist across runs so
-            // callers can pre-initialise and post-inspect).
-            let mut g = lock_ignore_poison(&self.global);
-            let n_programs = programs.len();
-            for t in 0..self.cfg.n_tiles {
-                g.clocks[t] = if t < n_programs { 0 } else { u64::MAX };
-                g.waiting[t] = false;
-                g.finished[t] = None;
-                g.telem_tiles[t] = (Vec::new(), 0);
-            }
-        }
-        self.aborted.store(false, AtomicOrdering::SeqCst);
-        *lock_ignore_poison(&self.engine_stats) = None;
-        match self.cfg.engine {
-            EngineKind::Threaded => self.run_threaded(programs),
-            EngineKind::DiscreteEvent => self.run_event(programs),
-        }
-        if let Some(payload) = lock_ignore_poison(&self.panic_payload).take() {
-            std::panic::resume_unwind(payload);
-        }
-        let mut g = lock_ignore_poison(&self.global);
-        // Deliver posted writes still in flight when the last program
-        // retired (e.g. a final `dsm_commit` broadcast racing program
-        // exit), so host-side `read_back` observes the completed run.
-        // Both engines share this path, keeping their post-run memory
-        // images bit-identical.
-        g.drain_packets(u64::MAX, &self.cfg);
-        let g = g;
-        let per_core: Vec<Counters> =
-            g.finished.iter().map(|f| f.map(|(c, _)| c).unwrap_or_default()).collect();
-        let makespan = g.finished.iter().flatten().map(|&(_, clock)| clock).max().unwrap_or(0);
-        self.makespan.store(makespan, AtomicOrdering::Relaxed);
-        RunReport { per_core, makespan }
-    }
-
-    /// Scheduler statistics of the last [`Soc::run`] on the
-    /// discrete-event engine (`None` for threaded runs).
-    pub fn engine_stats(&self) -> Option<EngineStats> {
-        *lock_ignore_poison(&self.engine_stats)
-    }
-
-    /// The turnstile driver: one OS thread per program, serialised by
-    /// the scheduler lock + condvars.
-    fn run_threaded<'env>(&'env self, programs: Vec<CoreProgram<'env>>) {
-        std::thread::scope(|scope| {
-            for (tile, program) in programs.into_iter().enumerate() {
-                let soc = &*self;
-                std::thread::Builder::new()
-                    .name(format!("tile{tile}"))
-                    .spawn_scoped(scope, move || {
-                        let mut cpu = Cpu::new(soc, tile);
-                        // A panicking tile must not leave the others
-                        // waiting on its clock forever: mark the run
-                        // aborted, wake everyone, then propagate.
-                        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            program(&mut cpu)
-                        }));
-                        match result {
-                            Ok(()) => cpu.finish(),
-                            Err(payload) => {
-                                // Record the first (original) payload;
-                                // secondary abort panics are noise.
-                                let mut slot = lock_ignore_poison(&soc.panic_payload);
-                                let primary = slot.is_none();
-                                if primary {
-                                    *slot = Some(payload);
-                                }
-                                drop(slot);
-                                soc.abort(tile);
-                            }
-                        }
-                    })
-                    .expect("spawn tile thread");
-            }
-        });
-    }
-
-    /// The discrete-event driver ([`crate::engine`]): programs run as
-    /// suspended coroutine tasks on small parked threads; a
-    /// single-threaded min-heap loop resumes exactly one at a time in
-    /// `(virtual_time, tile)` order. Scheduling is O(log n) per action
-    /// (vs. the turnstile's O(n) published-clock scan under a contended
-    /// lock), so 256+-tile configurations are practical.
-    fn run_event<'env>(&'env self, programs: Vec<CoreProgram<'env>>) {
         // Task stacks are small: tile programs are shallow closures over
         // heap-allocated state, and hundreds of tiles must coexist.
         const TASK_STACK: usize = 1 << 20;
+        assert!(programs.len() <= self.cfg.n_tiles, "more programs than tiles");
+        {
+            // Reset per-run state (memories persist across runs so
+            // callers can pre-initialise and post-inspect).
+            let mut g = lock_ignore_poison(&self.global);
+            g.finished.fill(None);
+            g.telem_tiles.fill((Vec::new(), 0));
+        }
+        self.aborted.store(false, AtomicOrdering::SeqCst);
+        *lock_ignore_poison(&self.engine_stats) = None;
         std::thread::scope(|scope| {
             let mut tasks: Vec<CoreTask<'_>> = Vec::new();
             for (tile, program) in programs.into_iter().enumerate() {
@@ -467,8 +354,7 @@ impl Soc {
                     .name(format!("tile{tile}"))
                     .stack_size(TASK_STACK)
                     .spawn_scoped(scope, move || {
-                        let mut cpu =
-                            Cpu::new_event(soc, tile, TaskPort::new(go_rx, yield_tx.clone()));
+                        let mut cpu = Cpu::new(soc, tile, TaskPort::new(go_rx, yield_tx.clone()));
                         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                             program(&mut cpu)
                         }));
@@ -478,15 +364,12 @@ impl Soc {
                                 let _ = yield_tx.send(TaskYield::Done);
                             }
                             Err(payload) => {
-                                let mut slot = lock_ignore_poison(&soc.panic_payload);
-                                if slot.is_none() {
-                                    *slot = Some(payload);
-                                }
-                                drop(slot);
-                                // `abort` marks the run and retires the
-                                // tile; the engine unwinds parked peers
-                                // at their next scheduled event.
-                                soc.abort(tile);
+                                // Keep the first (original) payload;
+                                // secondary abort panics are noise.
+                                lock_ignore_poison(&soc.panic_payload).get_or_insert(payload);
+                                // The engine unwinds parked peers at
+                                // their next scheduled event.
+                                soc.aborted.store(true, AtomicOrdering::SeqCst);
                                 let _ = yield_tx.send(TaskYield::Panicked);
                             }
                         }
@@ -506,6 +389,26 @@ impl Soc {
             let stats = engine.run();
             *lock_ignore_poison(&self.engine_stats) = Some(stats);
         });
+        if let Some(payload) = lock_ignore_poison(&self.panic_payload).take() {
+            std::panic::resume_unwind(payload);
+        }
+        let mut g = lock_ignore_poison(&self.global);
+        // Deliver posted writes still in flight when the last program
+        // retired (e.g. a final `dsm_commit` broadcast racing program
+        // exit), so host-side `read_back` observes the completed run.
+        g.drain_packets(u64::MAX, &self.cfg);
+        let g = g;
+        let per_core: Vec<Counters> =
+            g.finished.iter().map(|f| f.map(|(c, _)| c).unwrap_or_default()).collect();
+        let makespan = g.finished.iter().flatten().map(|&(_, clock)| clock).max().unwrap_or(0);
+        self.makespan.store(makespan, AtomicOrdering::Relaxed);
+        RunReport { per_core, makespan }
+    }
+
+    /// Scheduler statistics of the last [`Soc::run`] (`None` until a run
+    /// completes).
+    pub fn engine_stats(&self) -> Option<EngineStats> {
+        *lock_ignore_poison(&self.engine_stats)
     }
 }
 
@@ -525,18 +428,6 @@ enum StallCat {
     DmaWait,
 }
 
-/// How this core waits for (and hands over) its turn at the global
-/// commit point: the only place the two execution engines differ.
-enum Sched {
-    /// Condvar turnstile: publish the clock, wait until it is the
-    /// minimum, notify the next minimum afterwards.
-    Threaded,
-    /// Discrete-event coroutine: yield to the event loop until this
-    /// tile's `(clock, tile)` is scheduled (see
-    /// [`crate::engine::TaskPort`]).
-    Event(TaskPort),
-}
-
 /// The per-core execution context handed to tile programs: the only way
 /// application / runtime code touches the simulated machine.
 pub struct Cpu<'a> {
@@ -545,7 +436,9 @@ pub struct Cpu<'a> {
     /// Local clock (may run ahead of the published clock).
     clock: u64,
     published: u64,
-    sched: Sched,
+    /// The coroutine yield point: waits for the event loop to schedule
+    /// this tile's `(clock, tile)`.
+    port: TaskPort,
     dcache: Cache,
     icache: ICache,
     ctr: Counters,
@@ -555,22 +448,18 @@ pub struct Cpu<'a> {
 }
 
 impl<'a> Cpu<'a> {
-    fn new(soc: &'a Soc, tile: usize) -> Self {
+    fn new(soc: &'a Soc, tile: usize, port: TaskPort) -> Self {
         Cpu {
             soc,
             tile,
             clock: 0,
             published: 0,
-            sched: Sched::Threaded,
+            port,
             dcache: Cache::new(soc.cfg.dcache),
             icache: ICache::new(soc.cfg.icache_mpki),
             ctr: Counters::default(),
             telem: Recorder::new(&soc.cfg.telemetry),
         }
-    }
-
-    fn new_event(soc: &'a Soc, tile: usize, port: TaskPort) -> Self {
-        Cpu { sched: Sched::Event(port), ..Cpu::new(soc, tile) }
     }
 
     pub fn tile(&self) -> usize {
@@ -655,62 +544,16 @@ impl<'a> Cpu<'a> {
         self.check_time_limit();
     }
 
-    /// Wait (engine-specific) until this tile holds the global commit
-    /// turn for an action at `self.clock`, then return the scheduler
-    /// lock with arrived packets drained. Pair with
-    /// [`Cpu::release_turn`].
+    /// Yield to the event loop (or keep running below the horizon)
+    /// until this tile holds the global commit turn for an action at
+    /// `self.clock`, then return the commit lock with arrived packets
+    /// drained. The lock is uncontended: at most one task runs at a time.
     fn acquire_turn(&mut self) -> MutexGuard<'a, Global> {
-        let soc = self.soc;
-        let mut g = match &mut self.sched {
-            Sched::Threaded => {
-                let mut g = lock_ignore_poison(&soc.global);
-                g.clocks[self.tile] = self.clock;
-                // Wait for our turn in (clock, tile) order.
-                while !g.is_turn(self.tile) {
-                    if soc.aborted.load(AtomicOrdering::SeqCst) {
-                        drop(g);
-                        panic!("tile {}: simulation aborted by a panic on another tile", self.tile);
-                    }
-                    // Someone else is min; if they are parked, wake them.
-                    if let Some(m) = g.min_tile() {
-                        if g.waiting[m] {
-                            soc.cvs[m].notify_one();
-                        }
-                    }
-                    g.waiting[self.tile] = true;
-                    g = soc.cvs[self.tile]
-                        .wait(g)
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    g.waiting[self.tile] = false;
-                }
-                g
-            }
-            Sched::Event(port) => {
-                // Yield to the event loop (or keep running below the
-                // horizon); the lock is uncontended — at most one task
-                // is runnable at a time.
-                port.ensure_turn(self.clock, self.tile);
-                let mut g = lock_ignore_poison(&soc.global);
-                g.clocks[self.tile] = self.clock;
-                g
-            }
-        };
+        self.port.ensure_turn(self.clock, self.tile);
+        let mut g = lock_ignore_poison(&self.soc.global);
         self.published = self.clock;
-        g.drain_packets(self.clock, &soc.cfg);
+        g.drain_packets(self.clock, &self.soc.cfg);
         g
-    }
-
-    /// Commit the action and hand the turn over (threaded: wake the next
-    /// minimum tile; event: nothing — the engine schedules by heap).
-    fn release_turn(&mut self, g: MutexGuard<'a, Global>) {
-        if let Sched::Threaded = self.sched {
-            if let Some(m) = g.min_tile() {
-                if m != self.tile && g.waiting[m] {
-                    self.soc.cvs[m].notify_one();
-                }
-            }
-        }
-        drop(g);
     }
 
     /// Run a globally visible action at the right point in virtual time.
@@ -719,11 +562,9 @@ impl<'a> Cpu<'a> {
     /// afterwards via `charge_stall`.
     fn turn<R>(&mut self, f: impl FnOnce(&mut Global, &SocConfig, u64, usize) -> R) -> R {
         let mut g = self.acquire_turn();
-        let r = f(&mut g, &self.soc.cfg, self.clock, self.tile);
         // The action itself does not advance the clock (the caller
         // charges latency).
-        self.release_turn(g);
-        r
+        f(&mut g, &self.soc.cfg, self.clock, self.tile)
     }
 
     /// Publish the clock and hand over the turn (forced sync point).
@@ -740,16 +581,9 @@ impl<'a> Cpu<'a> {
     }
 
     fn finish(&mut self) {
-        let soc = self.soc;
-        let mut g = lock_ignore_poison(&soc.global);
+        let mut g = lock_ignore_poison(&self.soc.global);
         g.finished[self.tile] = Some((self.ctr, self.clock));
         g.telem_tiles[self.tile] = self.telem.drain();
-        g.clocks[self.tile] = u64::MAX;
-        if let Some(m) = g.min_tile() {
-            if g.waiting[m] {
-                soc.cvs[m].notify_one();
-            }
-        }
     }
 
     // ------------------------------------------------------------------
@@ -865,7 +699,7 @@ impl<'a> Cpu<'a> {
     }
 
     /// Handle a cached-SDRAM miss: fetch the line (plus victim
-    /// write-back) under the turnstile. Returns the region tag and the
+    /// write-back) at the commit turn. Returns the region tag and the
     /// stall cycles.
     fn miss_fill(&mut self, offset: u32) -> (MemTag, u64) {
         self.ctr.dcache_misses += 1;
@@ -896,9 +730,7 @@ impl<'a> Cpu<'a> {
                 line_size,
             );
         }
-        let tag = g.tag_of(offset);
-        self.release_turn(g);
-        (tag, done - clock)
+        (g.tag_of(offset), done - clock)
     }
 
     // Convenience width accessors -------------------------------------
@@ -2080,6 +1912,39 @@ mod tests {
         assert_eq!(run_with(false, true), (0, 2));
         assert_eq!(run_with(true, true), (1, 2));
         assert_eq!(run_with(false, false), (0, 0));
+    }
+
+    /// A tile that panics while its peers are parked mid-spin aborts the
+    /// run: `Soc::run` re-raises the primary payload, not a peer's
+    /// secondary abort message, and the same `Soc` then runs a clean
+    /// program.
+    #[test]
+    fn panic_aborts_parked_peers_and_leaves_the_soc_usable() {
+        let s = soc(4);
+        let flag = SDRAM_UNCACHED_BASE + 256;
+        let spinner = move |cpu: &mut Cpu| {
+            while cpu.read_u32(flag) == 0 {
+                cpu.compute(50);
+            }
+        };
+        let mut programs: Vec<CoreProgram<'_>> = vec![Box::new(move |cpu: &mut Cpu| {
+            while cpu.now() < 5_000 {
+                cpu.read_u32(flag);
+                cpu.compute(50);
+            }
+            panic!("primary boom");
+        })];
+        programs.extend((1..4).map(|_| Box::new(spinner) as CoreProgram<'_>));
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| s.run(programs)))
+            .expect_err("the panic must propagate out of Soc::run");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"primary boom"));
+
+        let mut programs: Vec<CoreProgram<'_>> =
+            vec![Box::new(move |cpu: &mut Cpu| cpu.write_u32(flag, 1))];
+        programs.extend((1..4).map(|_| Box::new(spinner) as CoreProgram<'_>));
+        let r = s.run(programs);
+        assert!(r.makespan > 0);
+        assert_eq!(s.read_sdram_u32(256), 1);
     }
 
     #[test]

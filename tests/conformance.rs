@@ -25,12 +25,6 @@
 //! and traces must not notice where the bytes physically live. Unset
 //! sweeps the single-controller default.
 //!
-//! The **engine axis** is the same gate for the execution core: the
-//! discrete-event engine and the thread-per-tile turnstile must drive
-//! every case to a model-allowed outcome with a clean trace. Set
-//! `PMC_ENGINE=threaded` or `PMC_ENGINE=des` to restrict the sweep (the
-//! CI matrix does); by default both are swept.
-//!
 //! Golden snapshots of the model-level outcome sets (the paper's
 //! Figs. 1–6 ground truth) are pinned in [`conformance::cases`] and
 //! re-verified here, so any model drift fails the same suite that checks
@@ -43,7 +37,7 @@ use pmc::model::interleave::{outcomes_with, Outcome};
 use pmc::runtime::monitor::validate;
 use pmc::runtime::{BackendKind, LockKind, RunConfig, System};
 use pmc::sim::telemetry::perfetto_json;
-use pmc::sim::{EngineKind, SocConfig, Topology};
+use pmc::sim::{SocConfig, Topology};
 
 const LOCK_KINDS: [LockKind; 2] = [LockKind::Sdram, LockKind::Distributed];
 
@@ -86,18 +80,8 @@ fn controllers_for(threads: usize) -> (String, Vec<usize>) {
     }
 }
 
-/// The engines to sweep, honouring the `PMC_ENGINE` filter
-/// (`threaded` / `des`; unset or anything else sweeps both).
-fn engines() -> Vec<(&'static str, EngineKind)> {
-    let filter = std::env::var("PMC_ENGINE").unwrap_or_default();
-    [("threaded", EngineKind::Threaded), ("des", EngineKind::DiscreteEvent)]
-        .into_iter()
-        .filter(|(name, _)| !matches!(filter.as_str(), "threaded" | "des") || filter == *name)
-        .collect()
-}
-
-/// Sweep one case over 4 back-ends × 2 lock kinds × the topology axis ×
-/// the engine axis, returning every divergence as a message instead of
+/// Sweep one case over 4 back-ends × 2 lock kinds × the topology axis,
+/// returning every divergence as a message instead of
 /// panicking (the sweep runs cases on worker threads and wants all
 /// failures, not the first).
 fn sweep_case(case: &conformance::Case) -> Vec<String> {
@@ -112,66 +96,61 @@ fn sweep_case(case: &conformance::Case) -> Vec<String> {
     }
     let threads = case.program.threads.len().max(1);
     let topologies = topologies_for(threads);
-    let engines = engines();
     let (ctrl_name, ctrls) = controllers_for(threads);
     for backend in BackendKind::ALL {
         for lock in LOCK_KINDS {
             for &(topo_name, topo) in &topologies {
-                for &(engine_name, engine) in &engines {
-                    let session = RunConfig::new(backend)
+                let session = RunConfig::new(backend)
+                    .lock(lock)
+                    .topology(topo)
+                    .mem_controllers(ctrls.clone())
+                    .session();
+                let run = session.litmus(&case.program);
+                let mut config_errors = Vec::new();
+                if !allowed.contains(&run.outcome) {
+                    config_errors.push(format!(
+                        "{}/{}/{lock:?}/{topo_name}/{ctrl_name}: simulator \
+                         outcome {:?} outside the model's allowed set:\n{}",
+                        case.name,
+                        backend.name(),
+                        run.outcome,
+                        render_outcomes(&allowed),
+                    ));
+                }
+                let violations = validate(&run.trace);
+                if !violations.is_empty() {
+                    config_errors.push(format!(
+                        "{}/{}/{lock:?}/{topo_name}/{ctrl_name}: monitor \
+                         violations: {violations:#?}",
+                        case.name,
+                        backend.name(),
+                    ));
+                }
+                if !config_errors.is_empty() {
+                    // Re-run the exact failing configuration with
+                    // telemetry and drop a Perfetto timeline next to
+                    // the failure report, so CI uploads an openable
+                    // trace.
+                    let telem = RunConfig::new(backend)
                         .lock(lock)
                         .topology(topo)
-                        .engine(engine)
                         .mem_controllers(ctrls.clone())
-                        .session();
-                    let run = session.litmus(&case.program);
-                    let mut config_errors = Vec::new();
-                    if !allowed.contains(&run.outcome) {
-                        config_errors.push(format!(
-                            "{}/{}/{lock:?}/{topo_name}/{engine_name}/{ctrl_name}: simulator \
-                             outcome {:?} outside the model's allowed set:\n{}",
-                            case.name,
-                            backend.name(),
-                            run.outcome,
-                            render_outcomes(&allowed),
-                        ));
-                    }
-                    let violations = validate(&run.trace);
-                    if !violations.is_empty() {
-                        config_errors.push(format!(
-                            "{}/{}/{lock:?}/{topo_name}/{engine_name}/{ctrl_name}: monitor \
-                             violations: {violations:#?}",
-                            case.name,
-                            backend.name(),
-                        ));
-                    }
-                    if !config_errors.is_empty() {
-                        // Re-run the exact failing configuration with
-                        // telemetry and drop a Perfetto timeline next to
-                        // the failure report, so CI uploads an openable
-                        // trace.
-                        let telem = RunConfig::new(backend)
-                            .lock(lock)
-                            .topology(topo)
-                            .engine(engine)
-                            .mem_controllers(ctrls.clone())
-                            .telemetry(true)
-                            .session()
-                            .litmus(&case.program);
-                        let path = format!(
-                            "target/conformance-{}-{}-{lock:?}-{topo_name}-{engine_name}\
-                             -{ctrl_name}.trace.json",
-                            case.name,
-                            backend.name(),
-                        );
-                        let json = perfetto_json(&telem.cfg, &telem.telemetry, &telem.trace);
-                        if std::fs::write(&path, json).is_ok() {
-                            for e in &mut config_errors {
-                                e.push_str(&format!("\n(trace artifact: {path})"));
-                            }
+                        .telemetry(true)
+                        .session()
+                        .litmus(&case.program);
+                    let path = format!(
+                        "target/conformance-{}-{}-{lock:?}-{topo_name}\
+                         -{ctrl_name}.trace.json",
+                        case.name,
+                        backend.name(),
+                    );
+                    let json = perfetto_json(&telem.cfg, &telem.telemetry, &telem.trace);
+                    if std::fs::write(&path, json).is_ok() {
+                        for e in &mut config_errors {
+                            e.push_str(&format!("\n(trace artifact: {path})"));
                         }
-                        errors.extend(config_errors);
                     }
+                    errors.extend(config_errors);
                 }
             }
         }
@@ -180,12 +159,10 @@ fn sweep_case(case: &conformance::Case) -> Vec<String> {
 }
 
 /// The tentpole sweep: catalogue × 4 back-ends × 2 lock kinds × 3
-/// topologies × 2 engines (× the controller axis). Every simulator
-/// outcome inside the model set, every trace clean — on the mesh and
-/// torus exactly as on the ring, under the event heap exactly as under
-/// the turnstile, with interleaved controllers exactly as with one.
-/// Cases are
-/// independent (each run builds its own `System`), so they are spread
+/// topologies (× the controller axis). Every simulator outcome inside
+/// the model set, every trace clean — on the mesh and torus exactly as
+/// on the ring, with interleaved controllers exactly as with one. Cases
+/// are independent (each run builds its own `System`), so they are spread
 /// over worker threads and all divergences are reported together.
 #[test]
 fn catalogue_sweep_outcomes_within_model_and_traces_clean() {
@@ -235,21 +212,14 @@ fn unfenced_mp_never_escapes_model_set() {
     for backend in BackendKind::ALL {
         for lock in LOCK_KINDS {
             for (topo_name, topo) in topologies_for(threads) {
-                for (engine_name, engine) in engines() {
-                    let run = RunConfig::new(backend)
-                        .lock(lock)
-                        .topology(topo)
-                        .engine(engine)
-                        .mem_controllers(ctrls.clone())
-                        .session()
-                        .litmus(&case.program);
-                    assert!(
-                        allowed.contains(&run.outcome),
-                        "{}/{lock:?}/{topo_name}/{engine_name}",
-                        backend.name()
-                    );
-                    observed.insert(run.outcome);
-                }
+                let run = RunConfig::new(backend)
+                    .lock(lock)
+                    .topology(topo)
+                    .mem_controllers(ctrls.clone())
+                    .session()
+                    .litmus(&case.program);
+                assert!(allowed.contains(&run.outcome), "{}/{lock:?}/{topo_name}", backend.name());
+                observed.insert(run.outcome);
             }
         }
     }

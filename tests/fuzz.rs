@@ -1,8 +1,8 @@
 //! Differential fuzzing of the portability claim: seeded random litmus
 //! programs ([`pmc::model::fuzz`]) are enumerated by the PMC model and
 //! then executed on every simulated back-end × both lock kinds × all
-//! three topologies × both execution engines. Every simulator outcome must
-//! fall inside the model's allowed set and every trace must pass
+//! three topologies. Every simulator outcome must fall inside the
+//! model's allowed set and every trace must pass
 //! [`monitor::validate`] — the same two gates as the hand-written
 //! conformance catalogue, but over an unbounded family of programs.
 //!
@@ -15,8 +15,6 @@
 //!   nightly CI tier runs hundreds with the run id as seed).
 //! * `PMC_TOPOLOGY`   — `ring` / `mesh` / `torus` restricts the topology
 //!   axis, exactly as in `tests/conformance.rs`.
-//! * `PMC_ENGINE`     — `threaded` / `des` restricts the engine axis;
-//!   by default every case runs on both engines.
 //! * `PMC_MEM_CONTROLLERS` — `<k>` (k ≥ 2) reruns every case with the
 //!   SDRAM offset space interleaved over k controllers, exactly as in
 //!   `tests/conformance.rs`; unset fuzzes the single-controller default.
@@ -48,7 +46,7 @@ use pmc::model::litmus::Program;
 use pmc::runtime::monitor::validate;
 use pmc::runtime::{BackendKind, LockKind, RunConfig};
 use pmc::sim::telemetry::perfetto_json;
-use pmc::sim::{EngineKind, Topology};
+use pmc::sim::Topology;
 
 const LOCK_KINDS: [LockKind; 2] = [LockKind::Sdram, LockKind::Distributed];
 
@@ -106,29 +104,17 @@ fn controllers_for(threads: usize) -> Vec<usize> {
     }
 }
 
-/// The engines to sweep (`PMC_ENGINE` filter, same policy as
-/// `tests/conformance.rs`).
-fn engines() -> Vec<(&'static str, EngineKind)> {
-    let filter = std::env::var("PMC_ENGINE").unwrap_or_default();
-    [("threaded", EngineKind::Threaded), ("des", EngineKind::DiscreteEvent)]
-        .into_iter()
-        .filter(|(name, _)| !matches!(filter.as_str(), "threaded" | "des") || filter == *name)
-        .collect()
-}
-
 /// One simulator run of a fuzz program on an explicit axis tuple.
 fn run_on(
     p: &Program,
     backend: BackendKind,
     lock: LockKind,
     topo: Topology,
-    engine: EngineKind,
     telemetry: bool,
 ) -> pmc::runtime::litmus_exec::LitmusRun {
     RunConfig::new(backend)
         .lock(lock)
         .topology(topo)
-        .engine(engine)
         .mem_controllers(controllers_for(p.threads.len().max(1)))
         .telemetry(telemetry)
         .session()
@@ -151,14 +137,13 @@ fn diverges(
     backend: BackendKind,
     lock: LockKind,
     topo: Topology,
-    engine: EngineKind,
     limits: Limits,
 ) -> bool {
     let Some(allowed) = model_allowed(p, limits) else {
         return false; // un-enumerable candidates are useless as witnesses
     };
     for _ in 0..4 {
-        let run = run_on(p, backend, lock, topo, engine, false);
+        let run = run_on(p, backend, lock, topo, false);
         if !allowed.contains(&run.outcome) || !validate(&run.trace).is_empty() {
             return true;
         }
@@ -191,56 +176,53 @@ fn fuzz_one(seed: u64, cfg: &GenConfig) -> Result<bool, String> {
     assert!(!allowed.is_empty(), "seed {seed:#x}: empty model outcome set");
 
     let topologies = topologies_for(program.threads.len());
-    let engines = engines();
     for backend in BackendKind::ALL {
         for lock in LOCK_KINDS {
             for &(topo_name, topo) in &topologies {
-                for &(engine_name, engine) in &engines {
-                    let run = run_on(&program, backend, lock, topo, engine, false);
-                    let violations = validate(&run.trace);
-                    if allowed.contains(&run.outcome) && violations.is_empty() {
-                        continue;
-                    }
-                    // Divergence: shrink against the exact failing
-                    // config, render, persist an artifact, and report the
-                    // seed.
-                    let shrunk = fuzz::shrink(&program, SHRINK_CHECKS, |cand| {
-                        diverges(cand, backend, lock, topo, engine, reduced)
-                    });
-                    let shrunk_allowed = model_allowed(&shrunk, reduced)
-                        .map(|s| render_outcomes(&s))
-                        .unwrap_or_else(|| "<enumeration exhausted>".into());
-                    let report = format!(
-                        "seed {seed:#x} diverges on {}/{lock:?}/{topo_name}/{engine_name}:\n\
-                         outcome {:?}, {} monitor violation(s)\n\
-                         allowed:\n{}\n\
-                         original program:\n{}\n\
-                         shrunk program:\n{}\n\
-                         shrunk allowed outcomes:\n{}\n\
-                         reproduce with: PMC_FUZZ_SEED={seed:#x} PMC_FUZZ_CASES=1 \
-                         cargo test --test fuzz",
-                        backend.name(),
-                        run.outcome,
-                        violations.len(),
-                        render_outcomes(&allowed),
-                        fuzz::render_program(&program),
-                        fuzz::render_program(&shrunk),
-                        shrunk_allowed,
-                    );
-                    let path = format!("target/fuzz-divergence-{seed:#x}.txt");
-                    let _ = std::fs::write(&path, &report);
-                    // Also export a Perfetto timeline of the failing
-                    // configuration (telemetry re-run; the simulator is
-                    // deterministic per configuration) for the CI
-                    // artifact.
-                    let telem = run_on(&program, backend, lock, topo, engine, true);
-                    let trace_path = format!("target/fuzz-divergence-{seed:#x}.trace.json");
-                    let _ = std::fs::write(
-                        &trace_path,
-                        perfetto_json(&telem.cfg, &telem.telemetry, &telem.trace),
-                    );
-                    return Err(format!("{report}\n(artifacts: {path}, {trace_path})"));
+                let run = run_on(&program, backend, lock, topo, false);
+                let violations = validate(&run.trace);
+                if allowed.contains(&run.outcome) && violations.is_empty() {
+                    continue;
                 }
+                // Divergence: shrink against the exact failing
+                // config, render, persist an artifact, and report the
+                // seed.
+                let shrunk = fuzz::shrink(&program, SHRINK_CHECKS, |cand| {
+                    diverges(cand, backend, lock, topo, reduced)
+                });
+                let shrunk_allowed = model_allowed(&shrunk, reduced)
+                    .map(|s| render_outcomes(&s))
+                    .unwrap_or_else(|| "<enumeration exhausted>".into());
+                let report = format!(
+                    "seed {seed:#x} diverges on {}/{lock:?}/{topo_name}:\n\
+                     outcome {:?}, {} monitor violation(s)\n\
+                     allowed:\n{}\n\
+                     original program:\n{}\n\
+                     shrunk program:\n{}\n\
+                     shrunk allowed outcomes:\n{}\n\
+                     reproduce with: PMC_FUZZ_SEED={seed:#x} PMC_FUZZ_CASES=1 \
+                     cargo test --test fuzz",
+                    backend.name(),
+                    run.outcome,
+                    violations.len(),
+                    render_outcomes(&allowed),
+                    fuzz::render_program(&program),
+                    fuzz::render_program(&shrunk),
+                    shrunk_allowed,
+                );
+                let path = format!("target/fuzz-divergence-{seed:#x}.txt");
+                let _ = std::fs::write(&path, &report);
+                // Also export a Perfetto timeline of the failing
+                // configuration (telemetry re-run; the simulator is
+                // deterministic per configuration) for the CI
+                // artifact.
+                let telem = run_on(&program, backend, lock, topo, true);
+                let trace_path = format!("target/fuzz-divergence-{seed:#x}.trace.json");
+                let _ = std::fs::write(
+                    &trace_path,
+                    perfetto_json(&telem.cfg, &telem.telemetry, &telem.trace),
+                );
+                return Err(format!("{report}\n(artifacts: {path}, {trace_path})"));
             }
         }
     }
@@ -249,8 +231,7 @@ fn fuzz_one(seed: u64, cfg: &GenConfig) -> Result<bool, String> {
 
 /// The fuzz tier: `PMC_FUZZ_CASES` seeded programs, each model-enumerated
 /// (memoized and POR+memoized, differentially) and swept over 4 back-ends
-/// × 2 lock kinds × the topology axis × the engine axis. Cases are
-/// distributed over worker
+/// × 2 lock kinds × the topology axis. Cases are distributed over worker
 /// threads; any divergence fails the test with a shrunk, reproducible
 /// counterexample.
 #[test]
